@@ -12,7 +12,7 @@ import (
 // full-size synthetic gradients for workload w on 4 workers.
 func benchSyncRound(w perfmodel.Workload) *core.RunStats {
 	k := sim.NewKernel()
-	c := core.NewISWStar(k, 4, w.Floats(), netsim.TenGbE(), core.ISWConfigFor(w))
+	c := core.Build(k, core.ClusterSpec{Topology: core.TopoStar, Mode: core.ModeISW, Workers: 4, ModelFloats: w.Floats(), Link: netsim.TenGbE()}).ISW
 	agents := make([]rl.Agent, 4)
 	services := make([]core.Service, 4)
 	for i := range agents {

@@ -67,7 +67,7 @@ func main() {
 		tors     = flag.Int("tors", 2, "ToRs per AGG (3tier)")
 		hosts    = flag.Int("hosts", 3, "workers per ToR (3tier)")
 		mode     = flag.String("mode", "sync", "sync | async (async: ps or isw)")
-		psShards = flag.Int("ps-shards", 1, "PS shard servers (ps/star only; 1 = single-server baseline)")
+		psShards = flag.Int("ps-shards", 1, "PS shard servers (ps only, star or tree; 1 = single-server baseline)")
 		iters    = flag.Int("iters", 3, "sync iterations to simulate")
 		updates  = flag.Int64("updates", 50, "async weight updates to simulate")
 		stale    = flag.Int64("staleness", 3, "async staleness bound S")
@@ -85,8 +85,8 @@ func main() {
 	if *psShards < 1 {
 		log.Fatalf("iswitch-sim: -ps-shards must be >= 1")
 	}
-	if *psShards > 1 && (*strategy != "ps" || *topology != "star") {
-		log.Fatalf("iswitch-sim: -ps-shards applies to -strategy ps -topology star only")
+	if *psShards > 1 && *strategy != "ps" {
+		log.Fatalf("iswitch-sim: -ps-shards applies to -strategy ps only")
 	}
 	if *doTrace > 0 && *strategy != "isw" {
 		log.Fatalf("iswitch-sim: -trace supports -strategy isw (any topology or mode)")
@@ -148,7 +148,7 @@ func main() {
 		cfg := core.ARConfigFor(w)
 		spec.AR = &cfg
 	case "isw":
-		cfg := core.ISWConfigFor(w)
+		cfg := core.DefaultISWConfig()
 		spec.ISW = &cfg
 	default:
 		fmt.Fprintf(os.Stderr, "unknown strategy %q\n", *strategy)
@@ -160,9 +160,6 @@ func main() {
 		switch *strategy {
 		case "ps":
 			spec.Mode = core.ModePS
-			if *psShards > 1 {
-				spec.Mode = core.ModeShardedPS
-			}
 		case "ar":
 			spec.Mode = core.ModeAllReduce
 		case "isw":
@@ -206,12 +203,6 @@ func main() {
 			}
 			stats = core.RunAsyncISW(k, agents, c, cfg)
 		case "ps":
-			if *psShards > 1 {
-				spec.Mode = core.ModeAsyncShardedPS
-				c := core.Build(k, spec).Sharded
-				stats = core.RunAsyncShardedPS(k, agents, core.NewSyntheticAgent(w.Floats()), c, cfg)
-				break
-			}
 			spec.Mode = core.ModeAsyncPS
 			c := core.Build(k, spec).PS
 			stats = core.RunAsyncPS(k, agents, core.NewSyntheticAgent(w.Floats()), c, cfg)

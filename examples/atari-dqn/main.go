@@ -53,7 +53,7 @@ func main() {
 			spec.AR = &cfg
 		case "iSW":
 			spec.Mode = core.ModeISW
-			cfg := core.ISWConfigFor(w)
+			cfg := core.DefaultISWConfig()
 			spec.ISW = &cfg
 		}
 		c := core.Build(k, spec)

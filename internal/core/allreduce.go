@@ -62,13 +62,6 @@ type ARCluster struct {
 	cfg     ARConfig
 }
 
-// NewARCluster builds nWorkers workers on one plain switch.
-//
-// Deprecated: use Build with ClusterSpec{Topology: TopoStar, Mode: ModeAllReduce}.
-func NewARCluster(k *sim.Kernel, nWorkers, modelFloats int, link netsim.LinkConfig, cfg ARConfig) *ARCluster {
-	return Build(k, ClusterSpec{Topology: TopoStar, Mode: ModeAllReduce, Workers: nWorkers, ModelFloats: modelFloats, Link: link, AR: &cfg}).AR
-}
-
 func newARCluster(k *sim.Kernel, nWorkers, modelFloats int, link netsim.LinkConfig, cfg ARConfig) *ARCluster {
 	if nWorkers < 2 {
 		panic("core: Ring-AllReduce needs at least 2 workers")

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"iswitch/internal/netsim"
 	"iswitch/internal/protocol"
 	"iswitch/internal/rl"
 	"iswitch/internal/sim"
@@ -58,7 +57,7 @@ type AsyncStats struct {
 	// StalenessSum/Committed is the run's average staleness.
 	StalenessSum int64
 	// PerShard holds per-shard commit/discard/staleness accounting for
-	// sharded parameter-server runs (nil for single-server and iSwitch
+	// parameter-server runs with more than one shard (nil for one-shard
 	// runs); PerShard[s] belongs to shard s.
 	PerShard []ShardStats
 }
@@ -197,105 +196,151 @@ func pullRequest(src, dst protocol.Addr) *protocol.Packet {
 }
 
 // RunAsyncPS trains agents with the asynchronous parameter-server
-// baseline. masterAgent supplies the server's authoritative weights and
+// baseline. Each shard server holds its slice of the authoritative
+// weights with its own update counter; Algorithm 1's staleness bound is
+// enforced per shard (a gradient slice computed against weights more
+// than S updates behind that shard's counter is discarded). The run
+// ends when every shard has applied cfg.Updates updates. With more than
+// one shard, AsyncStats.PerShard reports each shard's
+// commit/discard/staleness accounting.
+//
+// masterAgent supplies the servers' authoritative weights and
 // optimizer; it must be constructed with the same model seed as the
-// workers (its environment is never stepped).
+// workers (its environment is never stepped). With more than one shard,
+// each accepted update is applied through a full-length gradient that
+// is zero outside the shard's slice — identical to a per-slice update
+// for SGD-style optimizers (the timing layer's concern); with one shard
+// the pushed gradient is applied as is.
 func RunAsyncPS(k *sim.Kernel, agents []rl.Agent, masterAgent rl.Agent, cluster *PSCluster, cfg AsyncConfig) *AsyncStats {
 	nWorkers := len(agents)
+	nShards := cluster.NumShards()
 	stats := &AsyncStats{}
-	for i := 0; i <= nWorkers; i++ { // last entry holds server updates
+	perShard := make([]ShardStats, nShards)
+	if nShards > 1 {
+		stats.PerShard = perShard
+	}
+	for i := 0; i < nWorkers+nShards; i++ { // shard s's records at nWorkers+s
 		stats.Workers = append(stats.Workers, &WorkerStats{})
 	}
-	serverStats := stats.Workers[nWorkers]
 	stop := false
+	remaining := nShards
 
-	// The synchronous server spawned by NewPSCluster must be replaced;
-	// build async clusters with NewAsyncPSCluster instead.
-	server, workers := cluster.Server, cluster.workers
-	nFloats := cluster.n
+	for s := 0; s < nShards; s++ {
+		srv := cluster.Servers[s]
+		lo, hi := cluster.ShardElems(s)
+		nShard := hi - lo
+		segBase := uint64(cluster.segLo[s])
+		shardStats := stats.Workers[nWorkers+s]
+		shard := &perShard[s]
+		shardUpdate := scaleByShare(cfg.WeightUpdate+cluster.cfg.AsyncUpdateExtra, nShard, cluster.n)
 
-	// Pull requests are served by a dedicated reply thread so weight
-	// reads never block the push/update path (real parameter servers
-	// serve reads concurrently; only writes serialize).
-	pulls := sim.NewChan[protocol.Addr](k, "ps-pulls")
-	var version int64
-	lastSent := make(map[protocol.Addr]int64)
+		// Per-shard state shared by the pull and push/update threads.
+		pulls := sim.NewChan[protocol.Addr](k, fmt.Sprintf("ps-pulls-%d", s))
+		var version int64
+		lastSent := make(map[protocol.Addr]int64)
 
-	k.Spawn("async-ps-pull-server", func(p *sim.Proc) {
-		params := make([]float32, masterAgent.GradLen())
-		for {
-			src := pulls.Recv(p)
-			p.Sleep(cluster.cfg.PerMessage)
-			masterAgent.ReadParams(params)
-			lastSent[src] = version
-			for _, out := range protocol.Segment(server.Addr, src, params) {
-				server.Send(out)
+		// Pull thread: serve weight reads without blocking the update
+		// path (real parameter servers serve reads concurrently; only
+		// writes serialize). The reply cost scales with the slice staged,
+		// floored at the irreducible per-message launch cost.
+		k.Spawn(fmt.Sprintf("async-ps-pull-%d", s), func(p *sim.Proc) {
+			params := make([]float32, masterAgent.GradLen())
+			for {
+				src := pulls.Recv(p)
+				p.Sleep(cluster.cfg.shardMsgCost(nShard, cluster.n))
+				masterAgent.ReadParams(params)
+				lastSent[src] = version
+				for _, out := range protocol.Segment(srv.Addr, src, params[lo:hi]) {
+					out.Seg += segBase
+					srv.Send(out)
+				}
 			}
-		}
-	})
+		})
 
-	k.Spawn("async-ps-server", func(p *sim.Proc) {
-		asm := make(map[protocol.Addr]*protocol.Assembler)
-		prev := p.Now()
-		for version < cfg.Updates {
-			pkt := server.Recv(p)
-			switch {
-			case pkt.IsControl() && pkt.Action == protocol.ActionHelp:
-				pulls.Send(pkt.Src)
-			case pkt.IsData():
-				a := asm[pkt.Src]
-				if a == nil {
-					a = protocol.NewAssembler(nFloats)
-					asm[pkt.Src] = a
-				}
-				if err := a.Add(pkt); err != nil {
-					continue
-				}
-				if !a.Complete() {
-					continue
-				}
-				// Push: apply if within the staleness bound.
-				p.Sleep(cluster.cfg.PerMessage)
-				staleness := version - lastSent[pkt.Src]
-				if staleness <= cfg.StalenessBound {
-					stats.Committed++
-					stats.StalenessSum += staleness
-					p.Sleep(cfg.WeightUpdate + cluster.cfg.AsyncUpdateExtra)
-					masterAgent.ApplyAggregated(a.Vector(), 1)
-					version++
-					now := p.Now()
-					serverStats.Iters = append(serverStats.Iters, IterRecord{
-						Start: prev, ComputeEnd: prev, AggEnd: now, UpdateEnd: now,
-					})
-					prev = now
-					if now > stats.Total {
-						stats.Total = now
+		// Push/update thread: apply each complete slice if it is within
+		// the staleness bound.
+		k.Spawn(fmt.Sprintf("async-ps-server-%d", s), func(p *sim.Proc) {
+			asm := make(map[protocol.Addr]*protocol.Assembler)
+			var applyBuf []float32 // zero outside [lo,hi); lazily built for S>1
+			prev := p.Now()
+			for version < cfg.Updates {
+				pkt := srv.Recv(p)
+				switch {
+				case pkt.IsControl() && pkt.Action == protocol.ActionHelp:
+					pulls.Send(pkt.Src)
+				case pkt.IsData():
+					a := asm[pkt.Src]
+					if a == nil {
+						a = protocol.NewAssembler(nShard)
+						asm[pkt.Src] = a
 					}
-				} else {
-					stats.Discarded++
+					if err := a.AddFloats(pkt.Seg-segBase, pkt.Data); err != nil {
+						continue
+					}
+					if !a.Complete() {
+						continue
+					}
+					p.Sleep(cluster.cfg.shardMsgCost(nShard, cluster.n))
+					staleness := version - lastSent[pkt.Src]
+					if staleness <= cfg.StalenessBound {
+						stats.Committed++
+						stats.StalenessSum += staleness
+						shard.Committed++
+						shard.StalenessSum += staleness
+						if staleness > shard.MaxStaleness {
+							shard.MaxStaleness = staleness
+						}
+						p.Sleep(shardUpdate)
+						if nShards == 1 {
+							masterAgent.ApplyAggregated(a.Vector(), 1)
+						} else {
+							if applyBuf == nil {
+								applyBuf = make([]float32, cluster.n)
+							}
+							copy(applyBuf[lo:hi], a.Vector())
+							masterAgent.ApplyAggregated(applyBuf, 1)
+						}
+						version++
+						now := p.Now()
+						shardStats.Iters = append(shardStats.Iters, IterRecord{
+							Start: prev, ComputeEnd: prev, AggEnd: now, UpdateEnd: now,
+						})
+						prev = now
+						if now > stats.Total {
+							stats.Total = now
+						}
+					} else {
+						stats.Discarded++
+						shard.Discarded++
+					}
+					a.Reset()
 				}
-				a.Reset()
 			}
-		}
-		stop = true
-	})
+			remaining--
+			if remaining == 0 {
+				stop = true
+			}
+		})
+	}
 
 	for i := range agents {
-		agent, ws, host := agents[i], stats.Workers[i], workers[i]
+		agent, ws, host := agents[i], stats.Workers[i], cluster.workers[i]
 		worker := i
 		k.Spawn(fmt.Sprintf("async-ps-worker-%d", i), func(p *sim.Proc) {
-			weights := protocol.NewAssembler(nFloats)
+			weights := protocol.NewAssembler(cluster.n)
 			grad := make([]float32, agent.GradLen())
-			fp16 := cluster.scheme == protocol.CompFP16
 			for iter := 0; !stop; iter++ {
-				// Pull the latest weights.
+				// Pull the latest weights from every shard (scatter the
+				// requests; replies arrive concurrently on S server NICs).
 				p.Sleep(cluster.cfg.WorkerBase)
-				host.Send(pullRequest(host.Addr, server.Addr))
+				for _, srv := range cluster.Servers {
+					host.Send(pullRequest(host.Addr, srv.Addr))
+				}
 				weights.Reset()
 				for !weights.Complete() {
 					pkt, ok := host.RecvTimeout(p, 200*cfg.LocalCompute+sim.Time(1e9))
 					if !ok {
-						return // server stopped mid-reply
+						return // servers stopped mid-reply
 					}
 					if pkt.IsData() {
 						if err := weights.Add(pkt); err != nil {
@@ -310,31 +355,19 @@ func RunAsyncPS(k *sim.Kernel, agents []rl.Agent, masterAgent rl.Agent, cluster 
 				for _, r := range agent.DrainEpisodes() {
 					ws.Rewards = append(ws.Rewards, RewardPoint{Time: p.Now(), Reward: r})
 				}
-				// Push. Under fp16 the gradient is rounded through the
-				// wire precision (the server applies what the wire
-				// carried); weight pulls stay raw float32 so the
-				// authoritative weights never lose precision.
-				if fp16 {
+				// Push: scatter per-shard gradient segments. Under fp16 the
+				// gradient is rounded through the wire precision (the
+				// servers apply what the wire carried); weight pulls stay
+				// raw float32 so the authoritative weights never lose
+				// precision.
+				if cluster.scheme == protocol.CompFP16 {
 					kernels.F16RoundInPlace(grad)
 				}
-				for _, pkt := range protocol.Segment(host.Addr, server.Addr, grad) {
-					if fp16 {
-						pkt.Enc = protocol.CompFP16
-					}
-					host.Send(pkt)
-				}
+				cluster.scatter(host, grad)
 			}
 		})
 	}
 	k.Run()
 	stats.Updates = cfg.Updates
 	return stats
-}
-
-// NewAsyncPSCluster builds a PS cluster without spawning the
-// synchronous server (RunAsyncPS provides its own).
-//
-// Deprecated: use Build with ClusterSpec{Topology: TopoStar, Mode: ModeAsyncPS}.
-func NewAsyncPSCluster(k *sim.Kernel, nWorkers, modelFloats int, link netsim.LinkConfig, cfg PSConfig) *PSCluster {
-	return Build(k, ClusterSpec{Topology: TopoStar, Mode: ModeAsyncPS, Workers: nWorkers, ModelFloats: modelFloats, Link: link, PS: &cfg}).PS
 }

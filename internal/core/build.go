@@ -9,11 +9,9 @@ import (
 	"iswitch/internal/switchnet"
 )
 
-// The unified builder API. A ClusterSpec names a topology and an
-// aggregation mode as data; Build turns it into a running cluster. The
-// fourteen per-topology-per-mode constructors (NewISWStar, NewPSCluster,
-// NewARClusterTree, ...) remain as one-line wrappers over Build, so a
-// spec and its legacy constructor produce byte-identical simulations.
+// The builder API. A ClusterSpec names a topology and an aggregation
+// mode as data; Build turns it into a running cluster. It is the one
+// way to construct a cluster.
 
 // Topology selects the physical fabric.
 type Topology int
@@ -54,10 +52,6 @@ const (
 	ModePS
 	// ModeAsyncPS is the asynchronous parameter server baseline.
 	ModeAsyncPS
-	// ModeShardedPS is the sharded synchronous parameter server.
-	ModeShardedPS
-	// ModeAsyncShardedPS is the sharded asynchronous parameter server.
-	ModeAsyncShardedPS
 	// ModeAllReduce is the Ring-AllReduce baseline.
 	ModeAllReduce
 )
@@ -70,10 +64,6 @@ func (m Mode) String() string {
 		return "ps"
 	case ModeAsyncPS:
 		return "async-ps"
-	case ModeShardedPS:
-		return "sharded-ps"
-	case ModeAsyncShardedPS:
-		return "async-sharded-ps"
 	case ModeAllReduce:
 		return "allreduce"
 	default:
@@ -99,7 +89,8 @@ type ClusterSpec struct {
 
 	// ModelFloats is the gradient length.
 	ModelFloats int
-	// Shards is the server count for the sharded-PS modes.
+	// Shards is the parameter-server shard count for the PS modes;
+	// 0 or 1 is the paper's single-server baseline.
 	Shards int
 
 	// Compression selects the gradient wire scheme for the whole job
@@ -113,8 +104,8 @@ type ClusterSpec struct {
 	// Link is the worker access link (zero value: 10 GbE). Uplink feeds
 	// ToR→root / ToR→AGG / edge→AGG tiers and CoreLink the AGG→core tier;
 	// each zero value inherits the next-lower tier's config (so a spec
-	// naming only Link runs a uniform fabric — note the legacy tree
-	// constructors always named their uplink explicitly, typically 40 GbE).
+	// naming only Link runs a uniform fabric; the paper's rack trees name
+	// a 40 GbE Uplink explicitly).
 	Link, Uplink, CoreLink netsim.LinkConfig
 
 	// Exactly the config matching Mode is consulted; nil selects the
@@ -144,10 +135,9 @@ type Cluster struct {
 	Spec ClusterSpec
 	k    *sim.Kernel
 
-	ISW     *ISWCluster
-	PS      *PSCluster
-	Sharded *ShardedPSCluster
-	AR      *ARCluster
+	ISW *ISWCluster
+	PS  *PSCluster
+	AR  *ARCluster
 }
 
 // Kernel returns the simulation kernel the cluster was built on.
@@ -160,8 +150,6 @@ func (c *Cluster) Client(i int) Service {
 		return c.ISW.Client(i)
 	case c.PS != nil:
 		return c.PS.Client(i)
-	case c.Sharded != nil:
-		return c.Sharded.Client(i)
 	case c.AR != nil:
 		return c.AR.Client(i)
 	}
@@ -175,8 +163,6 @@ func (c *Cluster) Workers() []*netsim.Host {
 		return c.ISW.Workers()
 	case c.PS != nil:
 		return c.PS.Workers()
-	case c.Sharded != nil:
-		return c.Sharded.Workers()
 	case c.AR != nil:
 		return c.AR.Workers()
 	}
@@ -215,11 +201,15 @@ func (s ClusterSpec) Validate() error {
 	}
 	switch scheme {
 	case protocol.CompFP16:
-		switch s.Mode {
-		case ModeISW, ModePS, ModeAsyncPS:
+		switch {
+		case s.Mode == ModeISW, (s.Mode == ModePS || s.Mode == ModeAsyncPS) && s.Shards <= 1:
 			// Supported: one aggregation point that re-rounds emissions.
 		default:
-			return fmt.Errorf("core: fp16 compression is not supported under %v: the scheme needs a single aggregation point that re-rounds emissions (in-switch or parameter server); sharded and ring strategies splice raw float32 chunks between peers", s.Mode)
+			where := s.Mode.String()
+			if s.Shards > 1 {
+				where = fmt.Sprintf("%v with %d shards", s.Mode, s.Shards)
+			}
+			return fmt.Errorf("core: fp16 compression is not supported under %s: the scheme needs a single aggregation point that re-rounds emissions (in-switch or one parameter server); sharded and ring strategies splice raw float32 chunks between peers", where)
 		}
 	case protocol.CompInt32Block:
 		if s.Mode != ModeISW {
@@ -265,19 +255,6 @@ func Build(k *sim.Kernel, spec ClusterSpec) *Cluster {
 		c.ISW = buildISW(k, spec, link, uplink, coreLink)
 	case ModePS, ModeAsyncPS:
 		c.PS = buildPS(k, spec, link, uplink)
-	case ModeShardedPS, ModeAsyncShardedPS:
-		if spec.Topology != TopoStar {
-			panic(fmt.Sprintf("core: Build: %v over %v is not supported", spec.Mode, spec.Topology))
-		}
-		cfg := DefaultPSConfig()
-		if spec.PS != nil {
-			cfg = *spec.PS
-		}
-		if spec.Mode == ModeShardedPS {
-			c.Sharded = newSyncShardedPSCluster(k, spec.Workers, spec.ModelFloats, spec.Shards, link, cfg)
-		} else {
-			c.Sharded = newShardedPSCluster(k, spec.Workers, spec.ModelFloats, spec.Shards, link, cfg)
-		}
 	case ModeAllReduce:
 		cfg := DefaultARConfig()
 		if spec.AR != nil {
@@ -376,34 +353,6 @@ func buildISW(k *sim.Kernel, spec ClusterSpec, link, uplink, coreLink netsim.Lin
 	return c
 }
 
-func buildPS(k *sim.Kernel, spec ClusterSpec, link, uplink netsim.LinkConfig) *PSCluster {
-	cfg := DefaultPSConfig()
-	if spec.PS != nil {
-		cfg = *spec.PS
-	}
-	sync := spec.Mode == ModePS
-	switch spec.Topology {
-	case TopoStar:
-		star := netsim.BuildStar(k, spec.Workers, link)
-		server := star.AttachHost(k, PSServerAddr(), link)
-		c := &PSCluster{Star: star, Server: server, workers: star.Hosts[:spec.Workers], n: spec.ModelFloats, cfg: cfg, scheme: spec.scheme()}
-		if sync {
-			c.startServer(k)
-		}
-		return c
-	case TopoTree:
-		tr := netsim.BuildRacksN(k, spec.Workers, rackWidth(spec), link, uplink)
-		server := tr.AttachRootHost(k, PSServerAddr(), uplink)
-		c := &PSCluster{Server: server, workers: tr.Hosts, n: spec.ModelFloats, cfg: cfg, scheme: spec.scheme()}
-		if sync {
-			c.startServer(k)
-		}
-		return c
-	default:
-		panic(fmt.Sprintf("core: Build: %v over %v is not supported", spec.Mode, spec.Topology))
-	}
-}
-
 func newARClusterTree(k *sim.Kernel, totalWorkers, perRack, modelFloats int, edge, uplink netsim.LinkConfig, cfg ARConfig) *ARCluster {
 	tr := netsim.BuildRacksN(k, totalWorkers, perRack, edge, uplink)
 	return &ARCluster{workers: tr.Hosts, n: modelFloats, cfg: cfg}
@@ -461,9 +410,3 @@ func (c *Cluster) ApplyFaults(fp *netsim.FaultPlan) error {
 	}
 	return nil
 }
-
-// --- Legacy constructors as Build wrappers -------------------------------
-//
-// Deprecated in favor of Build(k, ClusterSpec{...}); each remains as a
-// one-line wrapper so existing call sites and the byte-identical
-// equivalence guarantee both hold. New code should use Build.

@@ -23,19 +23,21 @@ func TestCalibrationSweep(t *testing.T) {
 			var services []Service
 			switch strategy {
 			case "PS":
-				c := NewPSCluster(k, 4, w.Floats(), netsim.TenGbE(), PSConfigFor(w))
+				cfg := PSConfigFor(w)
+				c := Build(k, ClusterSpec{Topology: TopoStar, Mode: ModePS, Workers: 4, ModelFloats: w.Floats(), Link: netsim.TenGbE(), PS: &cfg}).PS
 				for i := range agents {
 					agents[i] = NewSyntheticAgent(w.Floats())
 					services = append(services, c.Client(i))
 				}
 			case "AR":
-				c := NewARCluster(k, 4, w.Floats(), netsim.TenGbE(), ARConfigFor(w))
+				cfg := ARConfigFor(w)
+				c := Build(k, ClusterSpec{Topology: TopoStar, Mode: ModeAllReduce, Workers: 4, ModelFloats: w.Floats(), Link: netsim.TenGbE(), AR: &cfg}).AR
 				for i := range agents {
 					agents[i] = NewSyntheticAgent(w.Floats())
 					services = append(services, c.Client(i))
 				}
 			case "ISW":
-				c := NewISWStar(k, 4, w.Floats(), netsim.TenGbE(), DefaultISWConfig())
+				c := Build(k, ClusterSpec{Topology: TopoStar, Mode: ModeISW, Workers: 4, ModelFloats: w.Floats(), Link: netsim.TenGbE()}).ISW
 				for i := range agents {
 					agents[i] = NewSyntheticAgent(w.Floats())
 					services = append(services, c.Client(i))

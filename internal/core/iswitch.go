@@ -115,22 +115,6 @@ type ISWCluster struct {
 	Rejoins     uint64 // crashed workers re-admitted
 }
 
-// NewISWStar builds nWorkers workers under one iSwitch.
-//
-// Deprecated: use Build with ClusterSpec{Topology: TopoStar, Mode: ModeISW}.
-func NewISWStar(k *sim.Kernel, nWorkers, modelFloats int, link netsim.LinkConfig, cfg ISWConfig) *ISWCluster {
-	return Build(k, ClusterSpec{Topology: TopoStar, Mode: ModeISW, Workers: nWorkers, ModelFloats: modelFloats, Link: link, ISW: &cfg}).ISW
-}
-
-// NewISWTree builds the rack-scale hierarchy (§3.4): nRacks racks of
-// perRack workers, ToR switches aggregating locally (H = perRack) and a
-// root switch aggregating across racks (H = nRacks).
-//
-// Deprecated: use Build with ClusterSpec{Topology: TopoTree, Mode: ModeISW}.
-func NewISWTree(k *sim.Kernel, nRacks, perRack, modelFloats int, edge, uplink netsim.LinkConfig, cfg ISWConfig) *ISWCluster {
-	return Build(k, ClusterSpec{Topology: TopoTree, Mode: ModeISW, Workers: nRacks * perRack, PerRack: perRack, ModelFloats: modelFloats, Link: edge, Uplink: uplink, ISW: &cfg}).ISW
-}
-
 // NewISWOnFabric builds an ISWCluster over hosts of an already-built
 // shared fabric: workers[i] contributes to the switch at targets[i]
 // (its ToR in a hierarchy, the single switch in a star). h is the

@@ -19,7 +19,7 @@ func TestSyncSurvivesPacketLoss(t *testing.T) {
 	k := sim.NewKernel()
 	cfg := DefaultISWConfig()
 	cfg.RecoveryTimeout = 2 * time.Millisecond
-	c := NewISWStar(k, nWorkers, nFloats, testLink(), cfg)
+	c := Build(k, ClusterSpec{Topology: TopoStar, Mode: ModeISW, Workers: nWorkers, ModelFloats: nFloats, Link: testLink(), ISW: &cfg}).ISW
 	c.StarSwitch.SetDedup(true)
 	// Worker 0's uplink loses 20% of packets; worker 1's downlink 10%.
 	c.Workers()[0].Port().SetLoss(0.20, 7)
@@ -78,7 +78,7 @@ func TestSyncSurvivesPacketLoss(t *testing.T) {
 func TestSyncWithoutRecoveryStallsOnLoss(t *testing.T) {
 	const nWorkers, nFloats = 2, 100
 	k := sim.NewKernel()
-	c := NewISWStar(k, nWorkers, nFloats, testLink(), DefaultISWConfig())
+	c := Build(k, ClusterSpec{Topology: TopoStar, Mode: ModeISW, Workers: nWorkers, ModelFloats: nFloats, Link: testLink()}).ISW
 	c.Workers()[0].Port().SetLoss(1.0, 3) // lose everything from worker 0
 
 	agents := make([]rl.Agent, nWorkers)
@@ -116,7 +116,7 @@ func TestRecoverySurvivesFinalRoundDownlinkLoss(t *testing.T) {
 	k := sim.NewKernel()
 	cfg := DefaultISWConfig()
 	cfg.RecoveryTimeout = 3 * time.Millisecond
-	c := NewISWStar(k, nWorkers, nFloats, testLink(), cfg)
+	c := Build(k, ClusterSpec{Topology: TopoStar, Mode: ModeISW, Workers: nWorkers, ModelFloats: nFloats, Link: testLink(), ISW: &cfg}).ISW
 	c.StarSwitch.SetDedup(true)
 	// Heavy downlink loss toward worker 0 makes a lost final-round
 	// broadcast overwhelmingly likely across 12 iterations.

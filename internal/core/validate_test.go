@@ -11,14 +11,20 @@ import (
 // pairing and reject the rest with an error that names the scheme and
 // explains the architectural reason.
 func TestValidateCompressionMatrix(t *testing.T) {
-	allModes := []Mode{ModeISW, ModePS, ModeAsyncPS, ModeShardedPS, ModeAsyncShardedPS, ModeAllReduce}
+	type modeCase struct {
+		name   string
+		mode   Mode
+		shards int
+	}
+	allModes := []modeCase{{"isw", ModeISW, 0}, {"ps", ModePS, 0}, {"async-ps", ModeAsyncPS, 0},
+		{"sharded-ps", ModePS, 2}, {"async-sharded-ps", ModeAsyncPS, 2}, {"allreduce", ModeAllReduce, 0}}
 
-	okFor := map[protocol.Compression]map[Mode]bool{
-		protocol.CompNone: {ModeISW: true, ModePS: true, ModeAsyncPS: true,
-			ModeShardedPS: true, ModeAsyncShardedPS: true, ModeAllReduce: true},
-		protocol.CompFP16:       {ModeISW: true, ModePS: true, ModeAsyncPS: true},
-		protocol.CompInt32Block: {ModeISW: true},
-		protocol.CompTopK:       {ModeISW: true},
+	okFor := map[protocol.Compression]map[string]bool{
+		protocol.CompNone: {"isw": true, "ps": true, "async-ps": true,
+			"sharded-ps": true, "async-sharded-ps": true, "allreduce": true},
+		protocol.CompFP16:       {"isw": true, "ps": true, "async-ps": true},
+		protocol.CompInt32Block: {"isw": true},
+		protocol.CompTopK:       {"isw": true},
 	}
 	// The rejection message must carry the scheme name and a reason.
 	reason := map[protocol.Compression]string{
@@ -29,11 +35,11 @@ func TestValidateCompressionMatrix(t *testing.T) {
 
 	for _, scheme := range protocol.Compressions() {
 		for _, mode := range allModes {
-			t.Run(scheme.String()+"-"+mode.String(), func(t *testing.T) {
-				spec := ClusterSpec{Topology: TopoStar, Mode: mode, Workers: 4,
+			t.Run(scheme.String()+"-"+mode.name, func(t *testing.T) {
+				spec := ClusterSpec{Topology: TopoStar, Mode: mode.mode, Shards: mode.shards, Workers: 4,
 					ModelFloats: 100, Compression: scheme}
 				err := spec.Validate()
-				if okFor[scheme][mode] {
+				if okFor[scheme][mode.name] {
 					if err != nil {
 						t.Fatalf("supported pairing rejected: %v", err)
 					}

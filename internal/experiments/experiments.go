@@ -80,7 +80,7 @@ func strategySpec(w perfmodel.Workload, strategy string, nWorkers, perRack int, 
 		spec.AR = &cfg
 	case StratISW:
 		spec.Mode = core.ModeISW
-		cfg := core.ISWConfigFor(w)
+		cfg := core.DefaultISWConfig()
 		spec.ISW = &cfg
 	default:
 		panic("experiments: unknown strategy " + strategy)
@@ -93,12 +93,18 @@ func strategySpec(w perfmodel.Workload, strategy string, nWorkers, perRack int, 
 // strategy, measuring per-iteration time. perRack <= 0 selects the flat
 // single-switch testbed; otherwise the two-level rack topology.
 func simSync(w perfmodel.Workload, strategy string, nWorkers, perRack, iters int) *core.RunStats {
+	return runSyncSpec(w, strategySpec(w, strategy, nWorkers, perRack, false), iters)
+}
+
+// runSyncSpec runs a synchronous timing simulation on the cluster spec
+// describes, one synthetic agent of workload w's model size per worker.
+func runSyncSpec(w perfmodel.Workload, spec core.ClusterSpec, iters int) *core.RunStats {
 	k := sim.NewKernel()
 	defer k.Shutdown() // release parked server loops (goroutine leak fix)
-	agents := make([]rl.Agent, nWorkers)
-	services := make([]core.Service, nWorkers)
-
-	c := core.Build(k, strategySpec(w, strategy, nWorkers, perRack, false))
+	c := core.Build(k, spec)
+	n := len(c.Workers())
+	agents := make([]rl.Agent, n)
+	services := make([]core.Service, n)
 	for i := range agents {
 		agents[i], services[i] = core.NewSyntheticAgent(w.Floats()), c.Client(i)
 	}
@@ -113,24 +119,30 @@ func simSync(w perfmodel.Workload, strategy string, nWorkers, perRack, iters int
 // stats; strategy is PS or iSW. updates is the number of weight
 // updates to simulate.
 func simAsync(w perfmodel.Workload, strategy string, nWorkers, perRack int, updates int64, staleness int64) *core.AsyncStats {
+	return runAsyncSpec(w, strategySpec(w, strategy, nWorkers, perRack, true), updates, staleness)
+}
+
+// runAsyncSpec runs an asynchronous timing simulation on the cluster
+// spec describes (ModeAsyncPS or ModeISW).
+func runAsyncSpec(w perfmodel.Workload, spec core.ClusterSpec, updates int64, staleness int64) *core.AsyncStats {
 	k := sim.NewKernel()
 	defer k.Shutdown()
 	cfg := core.AsyncConfig{
 		Updates: updates, StalenessBound: staleness,
 		LocalCompute: w.LocalCompute, WeightUpdate: w.WeightUpdate,
 	}
-	agents := make([]rl.Agent, nWorkers)
+	c := core.Build(k, spec)
+	agents := make([]rl.Agent, len(c.Workers()))
 	for i := range agents {
 		agents[i] = core.NewSyntheticAgent(w.Floats())
 	}
-	spec := strategySpec(w, strategy, nWorkers, perRack, true)
-	switch strategy {
-	case StratPS:
-		return core.RunAsyncPS(k, agents, core.NewSyntheticAgent(w.Floats()), core.Build(k, spec).PS, cfg)
-	case StratISW:
-		return core.RunAsyncISW(k, agents, core.Build(k, spec).ISW, cfg)
+	switch spec.Mode {
+	case core.ModeAsyncPS:
+		return core.RunAsyncPS(k, agents, core.NewSyntheticAgent(w.Floats()), c.PS, cfg)
+	case core.ModeISW:
+		return core.RunAsyncISW(k, agents, c.ISW, cfg)
 	}
-	panic("experiments: unknown async strategy " + strategy)
+	panic("experiments: no asynchronous " + spec.Mode.String())
 }
 
 // asyncPerIter extracts the per-iteration (inter-update) time from an

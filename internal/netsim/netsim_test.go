@@ -288,6 +288,28 @@ func TestAttachHost(t *testing.T) {
 	}
 }
 
+// Attaching a host on an IP that already has a route must panic: a
+// parameter server on 10.0.0.10 would otherwise capture star worker
+// 4's traffic. The tree's root switch guards the same way.
+func TestAttachHostRejectsAddressCollision(t *testing.T) {
+	mustPanic := func(name string, attach func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s: colliding attach did not panic", name)
+			}
+		}()
+		attach()
+	}
+	k := sim.NewKernel()
+	star := BuildStar(k, 5, testLink())
+	mustPanic("star", func() { star.AttachHost(k, HostAddr(0, 4), testLink()) })
+	tr := BuildRacks(k, 2, 2, testLink(), testLink())
+	mustPanic("tree", func() { tr.AttachRootHost(k, HostAddr(2, 1), testLink()) })
+	// A free address still attaches.
+	star.AttachHost(k, HostAddr(0, 5), testLink())
+}
+
 func TestPortStats(t *testing.T) {
 	k := sim.NewKernel()
 	a := NewHost(k, HostAddr(0, 0))

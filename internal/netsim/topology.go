@@ -52,7 +52,10 @@ func BuildStar(k *sim.Kernel, n int, link LinkConfig) *Star {
 }
 
 // AttachHost adds one more host (e.g. a parameter server) to the star.
+// It panics if addr's IP already has a route: routes are keyed by IP,
+// so the new host would silently capture an existing host's traffic.
 func (s *Star) AttachHost(k *sim.Kernel, addr protocol.Addr, link LinkConfig) *Host {
+	mustBeFreeIP(s.Switch, addr)
 	h := NewHost(k, addr)
 	i := len(s.Switch.ports)
 	swPort, hostPort := Connect(k, link,
@@ -97,6 +100,7 @@ func (t *Tree) trim(n int) *Tree {
 // AttachRootHost connects an extra host (e.g. a parameter server)
 // directly to the root switch and installs routes everywhere.
 func (t *Tree) AttachRootHost(k *sim.Kernel, addr protocol.Addr, link LinkConfig) *Host {
+	mustBeFreeIP(t.Root, addr)
 	h := NewHost(k, addr)
 	i := len(t.Root.ports)
 	rootPort, hostPort := Connect(k, link,
@@ -140,4 +144,12 @@ func BuildRacks(k *sim.Kernel, nRacks, hostsPerRack int, edge, uplink LinkConfig
 		}
 	}
 	return tr
+}
+
+// mustBeFreeIP panics if sw already routes addr's IP, so an address
+// plan that collides fails at construction instead of misrouting.
+func mustBeFreeIP(sw *Switch, addr protocol.Addr) {
+	if _, taken := sw.route[protocol.Addr{IP: addr.IP}]; taken {
+		panic(fmt.Sprintf("netsim: %s: IP of %v already has a route", sw.name, addr))
+	}
 }

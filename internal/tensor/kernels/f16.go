@@ -5,10 +5,9 @@ import (
 	"math"
 )
 
-// IEEE 754 half-precision conversion, hoisted here from internal/fp16
-// so the wire pack/unpack/round loops dispatch through the backend
-// table like every other element-wise kernel (internal/fp16 is now a
-// thin veneer over these). No architecture currently registers an
+// IEEE 754 half-precision conversion. The wire pack/unpack/round loops
+// dispatch through the backend table like every other element-wise
+// kernel. No architecture currently registers an
 // assembly form — the scalar word-assembly loops below saturate the
 // conversion at wire-buffer sizes — but the dispatch seam means an
 // F16C/NEON-FP16 backend drops in without touching callers, and the
