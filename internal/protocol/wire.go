@@ -149,7 +149,7 @@ func unmarshalPayloadInto(p *Packet, payload []byte) error {
 		}
 		p.Action = Action(payload[0])
 		if len(payload) > 1 {
-			p.Value = append([]byte(nil), payload[1:]...)
+			p.Value = append(p.Value[:0], payload[1:]...)
 		}
 		return nil
 	case p.IsData():
@@ -161,7 +161,10 @@ func unmarshalPayloadInto(p *Packet, payload []byte) error {
 		}
 		p.Seg = binary.LittleEndian.Uint64(payload[0:8])
 		n := (len(payload) - SegFieldLen) / 4
-		p.Data = make([]float32, n)
+		if cap(p.Data) < n {
+			p.Data = make([]float32, n)
+		}
+		p.Data = p.Data[:n]
 		for i := range p.Data {
 			p.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[8+4*i:]))
 		}
@@ -174,11 +177,20 @@ func unmarshalPayloadInto(p *Packet, payload []byte) error {
 // UnmarshalPayload parses a UDP payload given the out-of-band ToS tag
 // and addressing (how the real-UDP transport reconstructs packets).
 func UnmarshalPayload(src, dst Addr, tos uint8, payload []byte) (*Packet, error) {
-	p := &Packet{Src: src, Dst: dst, ToS: tos}
-	if err := unmarshalPayloadInto(p, payload); err != nil {
+	p := new(Packet)
+	if err := UnmarshalPayloadInto(p, src, dst, tos, payload); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// UnmarshalPayloadInto is UnmarshalPayload into a caller-owned, unpooled
+// packet, overwriting it but reusing its Value and Data storage, so a
+// receive loop decodes every datagram into one packet without
+// allocating.
+func UnmarshalPayloadInto(p *Packet, src, dst Addr, tos uint8, payload []byte) error {
+	*p = Packet{Src: src, Dst: dst, ToS: tos, Value: p.Value[:0], Data: p.Data[:0]}
+	return unmarshalPayloadInto(p, payload)
 }
 
 // macFor synthesizes a deterministic locally-administered MAC from an

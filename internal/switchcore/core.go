@@ -1,0 +1,856 @@
+// Package switchcore is the iSwitch in-switch aggregator (paper
+// §3.2–3.4) as a pure state machine, after SwitchML's slot-pool model
+// (Sapio et al.): the Table 2 control plane over a membership table and
+// the threshold-H accelerator, forwarding partial aggregates up a switch
+// hierarchy and broadcasting completed ones back down.
+//
+// The core does no I/O and keeps no clock: it takes the current time, a
+// packet, and whether the packet came from the parent, and emits
+// through a Driver. switchnet.ISwitch drives it in the discrete-event
+// simulator and transport.Switch behind a real UDP socket.
+package switchcore
+
+import (
+	"sort"
+	"time"
+
+	"iswitch/internal/accel"
+	"iswitch/internal/protocol"
+	"iswitch/internal/tensor/kernels"
+)
+
+// Driver carries a core's outputs onto the medium it runs on. The core
+// hands over ownership of every packet it emits: the driver delivers it
+// and, once it has consumed the payload, releases it.
+type Driver interface {
+	// Send emits pkt toward pkt.Dst along the normal forwarding path.
+	Send(pkt *protocol.Packet)
+	// SendParent emits pkt on the uplink toward the parent switch (only
+	// called on a core configured with SetParent).
+	SendParent(pkt *protocol.Packet)
+	// After runs fn once d has elapsed — the accelerator's datapath
+	// latency before a completed aggregate leaves the switch.
+	After(d time.Duration, fn func())
+}
+
+// Core is one switch's aggregation plane.
+//
+// Multi-tenancy: every membership table, accelerator, threshold, and
+// emission cache is scoped to a job context keyed by the packet's
+// JobID (carried in the IPv4 Identification field). Job 0 — the
+// default context — always exists and is what the single-tenant
+// accessors below operate on, so legacy single-job fabrics behave
+// bit-identically. Additional jobs must be admitted (AdmitJob) before
+// their packets are honoured; data for unknown jobs is dropped, never
+// aggregated, so a queued or evicted job can not corrupt an admitted
+// job's segment buffers. When a finite SRAM pool is attached
+// (SetTenancy), admission reserves the job's worst-case segment-state
+// demand; when a shared bus is attached, concurrent jobs' bursts
+// contend for the 256-bit datapath.
+type Core struct {
+	addr protocol.Addr
+	drv  Driver
+
+	// def is job 0's context; jobs holds every admitted context
+	// including def (keyed by job ID).
+	def  *jobCtx
+	jobs map[protocol.JobID]*jobCtx
+
+	// pool meters per-job SRAM (nil: unmetered legacy switch). bus
+	// models cross-job datapath contention (nil: none).
+	pool *accel.SRAMPool
+	bus  *accel.SharedBus
+
+	parent    protocol.Addr // zero => root
+	hasParent bool
+
+	// horizon, when positive, arms lazy liveness detection: a worker
+	// whose contribution is blocking a segment and that has not been
+	// heard from within horizon is evicted (Leave + SetH adjustment)
+	// the next time a Help forces the switch to look at the segment.
+	horizon time.Duration
+
+	// failed marks a dead aggregation plane: the switch stops consuming
+	// iSwitch traffic addressed to itself (control and data alike) while
+	// plain L2/L3 forwarding keeps working — the failure model for
+	// whole-switch failover to the backup software relay path.
+	failed bool
+
+	// HelpServed counts Helps answered from the shadow slots.
+	HelpServed uint64
+
+	// Stats
+	ControlIn        uint64
+	DataIn           uint64
+	Broadcasts       uint64
+	UpForwards       uint64
+	HelpRelayed      uint64 // Helps relayed to every other member (storm path)
+	HelpTargeted     uint64 // Helps relayed only to missing contributors
+	HelpUpForwards   uint64 // Helps escalated to the parent switch
+	Evicted          uint64 // workers removed by the liveness horizon
+	FailDrops        uint64 // iSwitch frames discarded by a failed switch
+	UnknownJobDrops  uint64 // packets for unadmitted jobs discarded
+	EncMismatchDrops uint64 // contributions whose encoding defies the job's scheme
+}
+
+// jobCtx is one training job's slice of the switch: its accelerator
+// (segment buffers + counters), membership table, auto-H mode, and the
+// shadow aggregation slots that re-serve lost broadcasts.
+type jobCtx struct {
+	job   protocol.JobID
+	acc   *accel.Accelerator
+	mem   *Membership
+	autoH bool // H tracks member count until SetH overrides
+
+	// shadow holds each segment's most recently emitted aggregate
+	// (keyed by round tag when the job runs tagged recovery) so a lost
+	// broadcast copy can be re-served directly to the requester of a
+	// Help while the next round is already accumulating in the primary
+	// slot — without this, a worker that loses the last broadcast of a
+	// job has no live peers left to recover through.
+	shadow *accel.ShadowStore
+
+	// lastSeen tracks when each member last transmitted anything, for
+	// the liveness horizon. Only maintained when the horizon is armed.
+	lastSeen map[protocol.Addr]time.Duration
+
+	// helpUpSince counts Helps escalated to the parent with no parent
+	// broadcast observed in between — the signal that the upstream
+	// aggregation path is dead and worker acks must be withheld so
+	// workers escalate to failover.
+	helpUpSince int
+
+	// scheme is the job's negotiated gradient compression, fixed at
+	// Join time (or pinned by the fabric builder on parent levels that
+	// never see a Join); every contribution is validated against it.
+	// modelFloats sizes the dense buffer that top-k sparse
+	// contributions scatter into.
+	scheme      protocol.Compression
+	modelFloats uint64
+}
+
+func newJobCtx(job protocol.JobID) *jobCtx {
+	return &jobCtx{
+		job:    job,
+		acc:    accel.New(accel.DefaultConfig()),
+		mem:    NewMembership(),
+		autoH:  true,
+		shadow: accel.NewShadowStore(),
+	}
+}
+
+// New builds a root switch core at protocol address addr (the source of
+// its emissions and the destination its children send to), emitting
+// through drv.
+func New(addr protocol.Addr, drv Driver) *Core {
+	def := newJobCtx(protocol.DefaultJob)
+	return &Core{
+		addr: addr,
+		drv:  drv,
+		def:  def,
+		jobs: map[protocol.JobID]*jobCtx{protocol.DefaultJob: def},
+	}
+}
+
+// SetParent makes the core a non-root level: completed local aggregates
+// go to parent through the driver's uplink, and data arriving from the
+// parent is replicated to the children.
+func (c *Core) SetParent(parent protocol.Addr) {
+	c.parent = parent
+	c.hasParent = true
+}
+
+// SetTenancy attaches the SRAM pool and shared bus (either may be nil).
+// SRAM is a per-switch resource, so every switch of a hierarchy gets
+// its own pool: sharing one would double-charge a job admitted at
+// several levels. The default job 0 context is never metered.
+func (c *Core) SetTenancy(pool *accel.SRAMPool, bus *accel.SharedBus) {
+	c.pool = pool
+	c.bus = bus
+}
+
+// Addr returns the switch's protocol address.
+func (c *Core) Addr() protocol.Addr { return c.addr }
+
+// Accelerator exposes the default job's aggregation unit (tests,
+// experiments, single-tenant fabrics).
+func (c *Core) Accelerator() *accel.Accelerator { return c.def.acc }
+
+// AcceleratorOf exposes an admitted job's aggregation unit (nil if the
+// job is not admitted).
+func (c *Core) AcceleratorOf(job protocol.JobID) *accel.Accelerator {
+	if ctx := c.ctx(job); ctx != nil {
+		return ctx.acc
+	}
+	return nil
+}
+
+// Membership exposes the default job's control-plane table.
+func (c *Core) Membership() *Membership { return c.def.mem }
+
+// MembershipOf exposes an admitted job's membership table (nil if the
+// job is not admitted).
+func (c *Core) MembershipOf(job protocol.JobID) *Membership {
+	if ctx := c.ctx(job); ctx != nil {
+		return ctx.mem
+	}
+	return nil
+}
+
+// SRAMPool returns the attached SRAM pool (nil on unmetered switches).
+func (c *Core) SRAMPool() *accel.SRAMPool { return c.pool }
+
+// ctx resolves a job's context; nil means the job is not admitted.
+func (c *Core) ctx(job protocol.JobID) *jobCtx {
+	if job == protocol.DefaultJob {
+		return c.def
+	}
+	return c.jobs[job]
+}
+
+// AdmitJob creates an aggregation context for a job, reserving its
+// worst-case segment-state SRAM when a pool is attached. Admitting an
+// already-admitted job is a no-op. Job 0 is always admitted.
+func (c *Core) AdmitJob(job protocol.JobID, modelFloats uint64) error {
+	if job == protocol.DefaultJob {
+		return nil // the default context always exists
+	}
+	if c.jobs[job] != nil {
+		return nil
+	}
+	if c.pool != nil {
+		demand := accel.ContextDemand(int(modelFloats), protocol.FloatsPerPacket)
+		if err := c.pool.Reserve(uint16(job), demand); err != nil {
+			return err
+		}
+	}
+	c.jobs[job] = newJobCtx(job)
+	return nil
+}
+
+// EvictJob tears down a job's context, releasing its SRAM and bus
+// state. It reports whether a context existed. The default job can not
+// be evicted.
+func (c *Core) EvictJob(job protocol.JobID) bool {
+	if job == protocol.DefaultJob {
+		return false
+	}
+	if c.jobs[job] == nil {
+		return false
+	}
+	delete(c.jobs, job)
+	if c.pool != nil {
+		c.pool.Release(uint16(job))
+	}
+	if c.bus != nil {
+		c.bus.Forget(uint16(job))
+	}
+	return true
+}
+
+// Jobs lists the admitted job IDs in ascending order (job 0 included).
+func (c *Core) Jobs() []protocol.JobID {
+	out := make([]protocol.JobID, 0, len(c.jobs))
+	for j := range c.jobs {
+		out = append(out, j)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Fail kills the switch's aggregation plane: from now on every iSwitch
+// frame addressed to this switch (contributions, Joins, Helps) is
+// discarded, while ordinary forwarding — including worker-to-worker
+// relay traffic for the backup aggregation path — keeps working. This
+// models an accelerator/control-plane death that leaves the L2/L3
+// pipeline up; there is no un-fail.
+func (c *Core) Fail() { c.failed = true }
+
+// SetLivenessHorizon arms dead-contributor detection: when a Help forces
+// the switch to inspect a stalled segment, any worker whose contribution
+// is missing and that has been silent for longer than d is evicted from
+// the membership (lowering auto-H) so the round completes with the
+// survivors. Zero disables detection (the default): a crashed worker
+// then stalls its job forever, exactly as before.
+func (c *Core) SetLivenessHorizon(d time.Duration) { c.horizon = d }
+
+// Shadow exposes the default job's shadow aggregation slots.
+func (c *Core) Shadow() *accel.ShadowStore { return c.def.shadow }
+
+// SetCompression pins a job's negotiated compression scheme and model
+// length on this switch. The fabric builder calls it on every level:
+// parent switches never see a worker Join, yet must know how to
+// interpret and re-emit the partials their children forward. No-op if
+// the job is not admitted.
+func (c *Core) SetCompression(job protocol.JobID, scheme protocol.Compression, modelFloats uint64) {
+	if ctx := c.ctx(job); ctx != nil {
+		ctx.scheme = scheme
+		ctx.modelFloats = modelFloats
+	}
+}
+
+// Compression returns the default job's negotiated scheme.
+func (c *Core) Compression() protocol.Compression { return c.def.scheme }
+
+// Handle runs one packet through the switch at time now. fromParent
+// marks a packet that arrived on the uplink from the parent switch. It
+// reports whether the switch consumed the packet; a packet it did not
+// consume is regular or transit traffic the caller forwards normally.
+func (c *Core) Handle(now time.Duration, pkt *protocol.Packet, fromParent bool) bool {
+	if c.failed {
+		if (pkt.IsControl() || pkt.IsData()) && pkt.Dst == c.addr {
+			c.FailDrops++
+			pkt.Release()
+			return true
+		}
+		return false // plain forwarding survives the aggregation plane
+	}
+	switch {
+	case pkt.IsControl():
+		c.ControlIn++
+		c.handleControl(now, pkt)
+		return true
+	case pkt.IsData():
+		// Data not addressed to this switch and not arriving from the
+		// parent is transit traffic (e.g. the backup relay path crossing
+		// a healthy fabric): forward it, never aggregate it.
+		if pkt.Dst != c.addr {
+			return false
+		}
+		c.DataIn++
+		c.handleData(now, pkt, fromParent)
+		return true
+	default:
+		return false // regular traffic: forward normally
+	}
+}
+
+func (c *Core) handleControl(now time.Duration, pkt *protocol.Packet) {
+	// Control packets not addressed to this switch are forwarded along
+	// the normal path (e.g. Halt relayed down, Ack back to a worker).
+	if pkt.Dst != c.addr {
+		c.drv.Send(pkt)
+		return
+	}
+	ctx := c.ctx(pkt.Job)
+	if ctx == nil {
+		// Control for a job with no admitted context: a Join racing
+		// admission, or a stale action after eviction. Refuse.
+		c.UnknownJobDrops++
+		c.ack(pkt.Src, pkt.Job, false)
+		return
+	}
+	c.touch(ctx, pkt.Src, now)
+	switch pkt.Action {
+	case protocol.ActionJoin:
+		floats, scheme, err := protocol.ParseJoinScheme(pkt.Value)
+		if err != nil {
+			c.ack(pkt.Src, pkt.Job, false)
+			return
+		}
+		// A re-Join from an already-registered address updates the row
+		// in place (Membership.Join), so the member count — and with it
+		// the automatic threshold H — must not move.
+		ctx.mem.Join(pkt.Src, MemberWorker, 0, floats)
+		// Only a scheme-carrying Join (9 bytes) renegotiates the job's
+		// compression: a legacy 8-byte Join must not reset a scheme the
+		// fabric builder already pinned.
+		if len(pkt.Value) == 9 {
+			ctx.scheme = scheme
+		}
+		if floats > 0 {
+			ctx.modelFloats = floats
+		}
+		c.refreshAutoH(ctx)
+		c.ack(pkt.Src, pkt.Job, true)
+	case protocol.ActionLeave:
+		ok := ctx.mem.Leave(pkt.Src)
+		c.refreshAutoH(ctx)
+		// Rounds that were only waiting on the departed worker are now
+		// satisfied at the lowered H: emit them so nobody stalls.
+		c.emitDrained(ctx)
+		c.ack(pkt.Src, pkt.Job, ok)
+	case protocol.ActionReset:
+		ctx.acc.Reset()
+		c.ack(pkt.Src, pkt.Job, true)
+	case protocol.ActionSetH:
+		h, err := protocol.ParseSetH(pkt.Value)
+		if err != nil || ctx.acc.SetThreshold(h) != nil {
+			c.ack(pkt.Src, pkt.Job, false)
+			return
+		}
+		ctx.autoH = false
+		c.ack(pkt.Src, pkt.Job, true)
+	case protocol.ActionFBcast:
+		// Force-broadcast every partially aggregated segment downstream.
+		for _, seg := range ctx.acc.PendingSegs() {
+			c.flushAndBroadcast(ctx, seg)
+		}
+		c.ack(pkt.Src, pkt.Job, true)
+	case protocol.ActionHelp:
+		c.handleHelp(now, ctx, pkt)
+	case protocol.ActionAck:
+		// A liveness acknowledgement bounced off a peer switch (e.g. the
+		// parent answering a forwarded Help): absorb, never re-ack, or
+		// two switches would nack each other forever.
+	case protocol.ActionHalt:
+		for _, m := range ctx.mem.Members() {
+			c.sendControl(ctx.job, m.Addr, protocol.ActionHalt, nil)
+		}
+	default:
+		c.ack(pkt.Src, pkt.Job, false)
+	}
+}
+
+// handleHelp implements loss recovery (paper §3.3 extended with
+// SwitchML-style slot state). Resolution order:
+//
+//  1. Shadow slot hit — the aggregate was already emitted and the
+//     requester lost its broadcast copy: re-serve it directly.
+//  2. Without the dedup bitmap (async jobs, legacy fabrics) the switch
+//     has no idea who contributed: relay the Help to every other worker
+//     so they all retransmit (the storm path, unchanged).
+//  3. With dedup armed and the segment holding partial state, relay the
+//     Help only to the members whose contribution is missing — the
+//     requester included, which is what re-gathers a rejoined worker.
+//     Missing workers past the liveness horizon are evicted instead.
+//  4. With no slot state at a non-root switch, escalate the Help to the
+//     parent: the aggregate lives (or stalled) further up.
+//  5. With no slot state at the root (or on a Help pushed down by the
+//     parent), re-gather: ask every local member to retransmit.
+//
+// Helps from workers are acknowledged (when not answered with data) so
+// a worker can distinguish "switch alive, peers slow" from "switch
+// dead" — except when the switch's own parent path looks dead, in which
+// case acks are withheld and the worker escalates to relay failover.
+func (c *Core) handleHelp(now time.Duration, ctx *jobCtx, pkt *protocol.Packet) {
+	seg, err := protocol.ParseHelp(pkt.Value)
+	if err != nil {
+		c.ack(pkt.Src, pkt.Job, false)
+		return
+	}
+	if c.serveFromShadow(ctx, seg, pkt.Src) {
+		return
+	}
+	if !ctx.acc.Dedup() {
+		c.HelpRelayed++
+		for _, m := range ctx.mem.Workers() {
+			if m.Addr != pkt.Src {
+				c.sendControl(ctx.job, m.Addr, protocol.ActionHelp, pkt.Value)
+			}
+		}
+		return
+	}
+	if ctx.acc.CountOf(seg) > 0 {
+		c.relayToMissing(now, ctx, seg, pkt.Value)
+		c.maybeAckHelp(ctx, pkt.Src, false)
+		return
+	}
+	if c.hasParent && pkt.Src != c.parent {
+		up := protocol.NewControl(c.addr, c.parent, protocol.ActionHelp, pkt.Value)
+		up.Job = ctx.job
+		c.HelpUpForwards++
+		ctx.helpUpSince++
+		c.drv.SendParent(up)
+		c.maybeAckHelp(ctx, pkt.Src, true)
+		return
+	}
+	// Root with no state, or a re-gather request from the parent: the
+	// segment's every contribution was lost — including the requester's
+	// own (a dropped upload, or a context checkpointed while data was in
+	// flight). Ask ALL local members to resend, requester included: a
+	// worker requester re-serves its retained gradient, and a child
+	// switch requester recycled the segment's state when it emitted
+	// upward, so the Help must go back down to make it re-gather from
+	// its own subtree. Dedup filters any contribution that does arrive
+	// twice.
+	c.HelpRelayed++
+	for _, m := range ctx.mem.Members() {
+		c.sendControl(ctx.job, m.Addr, protocol.ActionHelp, pkt.Value)
+	}
+	c.maybeAckHelp(ctx, pkt.Src, false)
+}
+
+// serveFromShadow answers a Help from the segment's shadow slot, in the
+// job's emission representation: quantized jobs re-serve the narrowed
+// (q, shift) pair bit-identically, fp16 jobs re-serve the rounded floats
+// tagged with their half-width encoding, everything else the raw
+// aggregate. The response owns a pooled copy: the shadow slot's storage
+// is reused on the next emission, possibly before delivery.
+func (c *Core) serveFromShadow(ctx *jobCtx, seg uint64, req protocol.Addr) bool {
+	if ctx.scheme == protocol.CompInt32Block {
+		q, shift, ok := ctx.shadow.GetQ(seg)
+		if !ok {
+			return false
+		}
+		c.HelpServed++
+		resp := &protocol.Packet{Src: c.addr, Dst: req, ToS: protocol.ToSData,
+			Job: ctx.job, Seg: seg, Enc: protocol.CompInt32Block, Shift: shift, QData: q}
+		c.drv.Send(resp.PooledClone())
+		return true
+	}
+	sum, ok := ctx.shadow.Get(seg)
+	if !ok {
+		return false
+	}
+	c.HelpServed++
+	resp := &protocol.Packet{Src: c.addr, Dst: req,
+		ToS: protocol.ToSData, Job: ctx.job, Seg: seg, Data: sum}
+	if ctx.scheme == protocol.CompFP16 {
+		resp.Enc = protocol.CompFP16
+	}
+	c.drv.Send(resp.PooledClone())
+	return true
+}
+
+// relayToMissing forwards a Help only to the members whose contribution
+// to seg has not been seen, evicting missing contributors that are past
+// the liveness horizon — workers and child switches alike (a child
+// switch whose only worker died goes silent exactly like a dead worker;
+// hosts-per-edge=1 fat-trees hit this). If eviction lowers H enough to
+// complete segments, they are emitted immediately.
+func (c *Core) relayToMissing(now time.Duration, ctx *jobCtx, seg uint64, helpValue []byte) {
+	seen := make(map[string]bool)
+	for _, s := range ctx.acc.SeenBy(seg) {
+		seen[s] = true
+	}
+	var targets []protocol.Addr
+	evicted := false
+	for _, m := range ctx.mem.Members() {
+		if seen[m.Addr.String()] {
+			continue
+		}
+		if c.horizon > 0 {
+			if last, ok := ctx.lastSeen[m.Addr]; ok && now-last > c.horizon {
+				ctx.mem.Leave(m.Addr)
+				delete(ctx.lastSeen, m.Addr)
+				c.Evicted++
+				evicted = true
+				continue
+			}
+		}
+		targets = append(targets, m.Addr)
+	}
+	if evicted {
+		c.refreshAutoH(ctx)
+		c.emitDrained(ctx)
+	}
+	if ctx.acc.CountOf(seg) == 0 {
+		return // eviction completed and emitted the segment
+	}
+	c.HelpTargeted++
+	for _, t := range targets {
+		c.sendControl(ctx.job, t, protocol.ActionHelp, helpValue)
+	}
+	if c.hasParent {
+		// Chasing missing members can outlast the parent's liveness
+		// horizon (this switch is waiting out its own horizon before
+		// evicting a dead contributor, and emits nothing upward in the
+		// meantime). Refresh liveness with an Ack so an alive-but-stalled
+		// switch is not itself evicted while it resolves the round; a
+		// truly dead subtree sends nothing and ages out as intended.
+		up := protocol.NewControl(c.addr, c.parent, protocol.ActionAck, protocol.AckOK)
+		up.Job = ctx.job
+		c.drv.SendParent(up)
+	}
+}
+
+// helpUpSuppressAfter is how many consecutive unanswered parent
+// escalations a switch tolerates before it stops acking worker Helps,
+// letting workers conclude the aggregation path is dead.
+const helpUpSuppressAfter = 3
+
+// maybeAckHelp acknowledges a worker's Help that was not answered with
+// data, as proof the switch (and, transitively, the path it can still
+// reach) is alive.
+func (c *Core) maybeAckHelp(ctx *jobCtx, req protocol.Addr, escalated bool) {
+	m, ok := ctx.mem.Lookup(req)
+	if !ok || m.Type != MemberWorker {
+		return // peer switches judge liveness by broadcasts, not acks
+	}
+	if escalated && ctx.helpUpSince > helpUpSuppressAfter {
+		return
+	}
+	c.ack(req, ctx.job, true)
+}
+
+// touch records member liveness when the horizon is armed.
+func (c *Core) touch(ctx *jobCtx, src protocol.Addr, now time.Duration) {
+	if c.horizon <= 0 {
+		return
+	}
+	if ctx.lastSeen == nil {
+		ctx.lastSeen = make(map[protocol.Addr]time.Duration)
+	}
+	ctx.lastSeen[src] = now
+}
+
+// emitDrained emits every segment whose counter satisfies the (possibly
+// just lowered) threshold H — shared by Leave and liveness eviction.
+func (c *Core) emitDrained(ctx *jobCtx) {
+	if ctx.scheme == protocol.CompInt32Block {
+		segs, sums, shifts := ctx.acc.DrainSatisfiedQ()
+		for i, seg := range segs {
+			c.emitQ(ctx, seg, sums[i], shifts[i])
+		}
+		return
+	}
+	segs, sums := ctx.acc.DrainSatisfied()
+	for i, seg := range segs {
+		c.emitFloat(ctx, seg, sums[i])
+	}
+}
+
+// emitFloat sends one completed float-datapath aggregate toward the
+// parent (retaining the buffer in the packet) or broadcasts it to the
+// children and recycles the buffer. An fp16 job's emission is rounded
+// through half precision first — that is the representation the workers
+// will apply, and tagging the packet halves its modeled wire bytes.
+// Top-k aggregates emit dense (CompNone layout), matching the scheme's
+// wire contract.
+func (c *Core) emitFloat(ctx *jobCtx, seg uint64, sum []float32) {
+	out := &protocol.Packet{Src: c.addr, ToS: protocol.ToSData,
+		Job: ctx.job, Seg: seg, Data: sum}
+	if ctx.scheme == protocol.CompFP16 {
+		kernels.F16RoundInPlace(sum)
+		out.Enc = protocol.CompFP16
+	}
+	if c.hasParent {
+		out.Dst = c.parent
+		c.UpForwards++
+		c.drv.SendParent(out) // the packet retains the buffer
+		return
+	}
+	c.broadcast(ctx, out) // broadcast copies per child: buffer is free
+	ctx.acc.Recycle(sum)
+}
+
+// emitQ is emitFloat for the quantized integer datapath: the payload is
+// the narrowed int32 sum plus its re-widening shift.
+func (c *Core) emitQ(ctx *jobCtx, seg uint64, q []int32, shift uint8) {
+	out := &protocol.Packet{Src: c.addr, ToS: protocol.ToSData, Job: ctx.job,
+		Seg: seg, Enc: protocol.CompInt32Block, Shift: shift, QData: q}
+	if c.hasParent {
+		out.Dst = c.parent
+		c.UpForwards++
+		c.drv.SendParent(out) // the packet retains the buffer
+		return
+	}
+	c.broadcast(ctx, out)
+	ctx.acc.RecycleQ(q)
+}
+
+// refreshAutoH keeps H equal to the number of children while in
+// automatic mode (the paper's default: H = number of child nodes).
+func (c *Core) refreshAutoH(ctx *jobCtx) {
+	if ctx.autoH && ctx.mem.Count() > 0 {
+		_ = ctx.acc.SetThreshold(uint32(ctx.mem.Count()))
+	}
+}
+
+// SetDedup toggles the default job's contributor bitmap (idempotent
+// retransmissions for synchronous loss recovery).
+func (c *Core) SetDedup(on bool) { c.def.acc.SetDedup(on) }
+
+// SetDedupJob toggles an admitted job's contributor bitmap.
+func (c *Core) SetDedupJob(job protocol.JobID, on bool) {
+	if ctx := c.ctx(job); ctx != nil {
+		ctx.acc.SetDedup(on)
+	}
+}
+
+// ForceThreshold pins the default job's aggregation threshold H,
+// disabling the auto-H that tracks membership — the programmatic
+// equivalent of a SetH control message issued by the operator.
+func (c *Core) ForceThreshold(h uint32) error {
+	if err := c.def.acc.SetThreshold(h); err != nil {
+		return err
+	}
+	c.def.autoH = false
+	return nil
+}
+
+// RegisterChildSwitch records a lower-level switch as a contributor to
+// the default job (used by the hierarchical topology builder instead
+// of a Join round trip, since switches are configured by the operator,
+// not the job).
+func (c *Core) RegisterChildSwitch(addr protocol.Addr) {
+	c.RegisterChildSwitchJob(protocol.DefaultJob, addr)
+}
+
+// RegisterChildSwitchJob records a lower-level switch as a contributor
+// to an admitted job's context — how a multi-tenant scheduler tells a
+// parent switch which children will forward partial aggregates for the
+// job. No-op if the job is not admitted here.
+func (c *Core) RegisterChildSwitchJob(job protocol.JobID, addr protocol.Addr) {
+	ctx := c.ctx(job)
+	if ctx == nil {
+		return
+	}
+	ctx.mem.Join(addr, MemberSwitch, 0, 0)
+	c.refreshAutoH(ctx)
+}
+
+// UnregisterChildSwitchJob removes a lower-level switch from an
+// admitted job's membership — the inverse of RegisterChildSwitchJob,
+// used when an elastic job shrinks out of a subtree and the parent must
+// stop waiting for that child's partials. Segments the removal leaves
+// satisfied at the lowered H are emitted immediately. No-op if the job
+// is not admitted here.
+func (c *Core) UnregisterChildSwitchJob(job protocol.JobID, addr protocol.Addr) {
+	ctx := c.ctx(job)
+	if ctx == nil {
+		return
+	}
+	if !ctx.mem.Leave(addr) {
+		return
+	}
+	c.refreshAutoH(ctx)
+	c.emitDrained(ctx)
+}
+
+func (c *Core) handleData(now time.Duration, pkt *protocol.Packet, fromParent bool) {
+	ctx := c.ctx(pkt.Job)
+	if ctx == nil {
+		// Data for a job with no admitted context here: discard. This
+		// is the isolation guarantee — a queued/evicted job's packets
+		// can never reach another job's segment buffers.
+		c.UnknownJobDrops++
+		return
+	}
+	// A data packet arriving from the parent is a downstream broadcast
+	// of a globally aggregated segment: replicate to the job's children
+	// (each child gets its own pooled copy) and retire the frame. It is
+	// also proof the upstream aggregation path is alive.
+	if c.hasParent && fromParent {
+		ctx.helpUpSince = 0
+		c.broadcast(ctx, pkt)
+		pkt.Release()
+		return
+	}
+	c.touch(ctx, pkt.Src, now)
+	// Validate the contribution's encoding against the job's negotiated
+	// scheme before it can touch a segment buffer: a packet framed under
+	// the wrong scheme would corrupt the sum, so the switch trusts the
+	// Join-time contract, never the packet.
+	if !encOK(ctx.scheme, pkt) {
+		c.EncMismatchDrops++
+		pkt.Release()
+		return
+	}
+	// Otherwise it is an upstream contribution: run it through the
+	// job's accelerator (keyed by source for the optional dedup
+	// bitmap), charging the datapath latency before any output. With a
+	// shared bus attached, the burst train also queues behind other
+	// jobs' in-flight bursts. The contributor key is only rendered when
+	// dedup is armed — Addr.String costs an allocation per packet, and
+	// the default datapath must stay allocation-free.
+	var contributor string
+	if ctx.acc.Dedup() {
+		contributor = pkt.Src.String()
+	}
+	seg := pkt.Seg
+	var (
+		sum    []float32
+		qsum   []int32
+		oshift uint8
+		done   bool
+		lat    time.Duration
+	)
+	switch {
+	case ctx.scheme == protocol.CompInt32Block:
+		// Saturating int32 adders; child partials re-widened by their
+		// narrowing shift onto the base grid.
+		qsum, oshift, done, lat = ctx.acc.IngestQFrom(seg, contributor, pkt.QData, pkt.Shift)
+	case pkt.Enc == protocol.CompTopK:
+		// Sparse worker selection: scatter-add into the dense slot,
+		// sized by the segment's span of the model vector.
+		lo, hi := protocol.SegmentRange(int(ctx.modelFloats), protocol.SegIndex(seg))
+		sum, done, lat = ctx.acc.IngestSparseFrom(seg, contributor, pkt.Idx, pkt.Data, hi-lo)
+	case pkt.Enc == protocol.CompFP16:
+		// Float adders on half-width wire payloads.
+		sum, done, lat = ctx.acc.IngestFromBytes(seg, contributor, pkt.Data, 2*len(pkt.Data))
+	default:
+		sum, done, lat = ctx.acc.IngestFrom(seg, contributor, pkt.Data)
+	}
+	// The accelerator summed the payload into its own segment buffer;
+	// the contribution frame is spent.
+	pkt.Release()
+	if c.bus != nil {
+		lat = c.bus.Charge(now, uint16(ctx.job), lat)
+	}
+	if !done {
+		return
+	}
+	c.drv.After(lat, func() {
+		if qsum != nil {
+			c.emitQ(ctx, seg, qsum, oshift)
+			return
+		}
+		c.emitFloat(ctx, seg, sum)
+	})
+}
+
+// encOK validates a contribution's encoding against the job's scheme.
+// Top-k jobs legitimately carry two layouts: sparse worker selections
+// (CompTopK; an empty selection is a legal count-only packet) and dense
+// partials forwarded by child switches (CompNone).
+func encOK(scheme protocol.Compression, pkt *protocol.Packet) bool {
+	if scheme == protocol.CompTopK {
+		return pkt.Enc == protocol.CompTopK || pkt.Enc == protocol.CompNone
+	}
+	return pkt.Enc == scheme
+}
+
+// broadcast replicates a data packet to every member of the job
+// (workers and child switches), one unicast copy per child so each
+// egress link serializes independently, exactly as port-replication
+// hardware behaves. The emitted aggregate moves into the segment's
+// shadow slot on the way out, ready to re-serve lost copies.
+func (c *Core) broadcast(ctx *jobCtx, pkt *protocol.Packet) {
+	c.Broadcasts++
+	if pkt.QData != nil {
+		ctx.shadow.PutQ(pkt.Seg, pkt.QData, pkt.Shift)
+	} else {
+		ctx.shadow.Put(pkt.Seg, pkt.Data)
+	}
+	for _, m := range ctx.mem.Members() {
+		// Pooled flyweight copies: each receiver releases its own on
+		// delivery, so a W-member fan-out recycles W frames per segment
+		// instead of allocating them.
+		cp := pkt.PooledClone()
+		cp.Src = c.addr
+		cp.Dst = m.Addr
+		cp.Job = ctx.job
+		c.drv.Send(cp)
+	}
+}
+
+func (c *Core) ack(dst protocol.Addr, job protocol.JobID, ok bool) {
+	v := protocol.AckOK
+	if !ok {
+		v = protocol.AckFail
+	}
+	c.sendControl(job, dst, protocol.ActionAck, v)
+}
+
+// sendControl emits one of job's control packets toward dst.
+func (c *Core) sendControl(job protocol.JobID, dst protocol.Addr, action protocol.Action, value []byte) {
+	pkt := protocol.NewControl(c.addr, dst, action, value)
+	pkt.Job = job
+	c.drv.Send(pkt)
+}
+
+// flushAndBroadcast force-broadcasts one partial segment (the FBcast
+// data path); a segment with no contributions emits nothing.
+func (c *Core) flushAndBroadcast(ctx *jobCtx, seg uint64) {
+	if ctx.scheme == protocol.CompInt32Block {
+		if q, shift, _, ok := ctx.acc.FlushQ(seg); ok {
+			c.emitQ(ctx, seg, q, shift)
+		}
+		return
+	}
+	if sum, _, ok := ctx.acc.Flush(seg); ok {
+		c.emitFloat(ctx, seg, sum)
+	}
+}

@@ -4,21 +4,25 @@
 // produces the paper's timing results; this package proves the protocol
 // is wire-real: cmd/iswitchd is a software emulation of the in-switch
 // aggregator that sums genuine UDP datagrams from worker processes,
-// exactly as the NetFPGA data plane does in hardware.
+// exactly as the NetFPGA data plane does in hardware. Switch is the UDP
+// driver of the switch core the simulator also drives (switchcore).
 //
 // Because a portable UDP socket cannot set the IP ToS byte per packet,
 // the ToS tag travels as the first byte of the UDP payload; the rest of
 // the payload is the standard iSwitch framing (protocol.MarshalPayload).
+// It carries no JobID and no compression tag: one job, raw float32.
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"time"
 
-	"iswitch/internal/accel"
 	"iswitch/internal/protocol"
+	"iswitch/internal/switchcore"
 )
 
 // maxDatagram bounds a received datagram: ToS byte + Seg + full payload.
@@ -32,44 +36,60 @@ func Encode(p *protocol.Packet) ([]byte, error) {
 // appendEncoded appends the UDP framing of p to dst, so per-packet send
 // paths can reuse one scratch buffer instead of allocating.
 func appendEncoded(dst []byte, p *protocol.Packet) ([]byte, error) {
+	if !p.IsISwitch() {
+		return nil, fmt.Errorf("transport: ToS %#02x is not an iSwitch packet", p.ToS)
+	}
 	dst = append(dst, p.ToS)
 	return protocol.AppendPayload(dst, p)
 }
 
 // Decode parses a UDP datagram produced by Encode. src/dst describe the
-// UDP endpoints (the kernel owns the real headers).
+// UDP endpoints (the kernel owns the real headers). Only what Encode can
+// produce decodes: control and data datagrams, data of at most one
+// packet's worth of float32s.
 func Decode(src, dst protocol.Addr, datagram []byte) (*protocol.Packet, error) {
+	p := new(protocol.Packet)
+	if err := decodeInto(p, src, dst, datagram); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// decodeInto is Decode into a reused packet (protocol.UnmarshalPayloadInto).
+func decodeInto(p *protocol.Packet, src, dst protocol.Addr, datagram []byte) error {
 	if len(datagram) < 1 {
-		return nil, fmt.Errorf("transport: empty datagram")
+		return fmt.Errorf("transport: empty datagram")
 	}
-	return protocol.UnmarshalPayload(src, dst, datagram[0], datagram[1:])
+	tos := datagram[0]
+	if tos != protocol.ToSControl && tos != protocol.ToSData {
+		return fmt.Errorf("transport: ToS %#02x is not an iSwitch datagram", tos)
+	}
+	if tos == protocol.ToSData && len(datagram) > 1+protocol.SegFieldLen+4*protocol.FloatsPerPacket {
+		return fmt.Errorf("transport: data datagram of %d bytes exceeds one packet", len(datagram))
+	}
+	return protocol.UnmarshalPayloadInto(p, src, dst, tos, datagram[1:])
 }
 
-// udpToAddr converts a net.UDPAddr into the protocol's 4-byte address.
-func udpToAddr(a *net.UDPAddr) protocol.Addr {
-	var out protocol.Addr
-	if ip4 := a.IP.To4(); ip4 != nil {
-		copy(out.IP[:], ip4)
+// toAddr converts a UDP endpoint into the protocol's IPv4 address; it
+// reports false for an IPv6 peer, which the protocol cannot name.
+func toAddr(ap netip.AddrPort) (protocol.Addr, bool) {
+	ip := ap.Addr().Unmap()
+	if !ip.Is4() {
+		return protocol.Addr{}, false
 	}
-	out.Port = uint16(a.Port)
-	return out
+	return protocol.Addr{IP: ip.As4(), Port: ap.Port()}, true
 }
 
-// Switch is the software in-switch aggregator: a UDP server that runs
-// the same control-plane actions and data-plane aggregation as the
-// simulated iSwitch.
+// Switch is the software in-switch aggregator: a UDP server that feeds
+// every datagram to the switch core and writes the core's emissions
+// back out as datagrams.
 type Switch struct {
-	conn *net.UDPConn
-	acc  *accel.Accelerator
+	conn  *net.UDPConn
+	start time.Time // the core's clock origin
 
-	mu      sync.Mutex
-	members map[string]*net.UDPAddr // key: addr.String()
-	order   []string                // join order for deterministic broadcast
-	autoH   bool
-	encBuf  []byte // sendLocked scratch, guarded by mu
-
-	// Stats (read under mu).
-	DataIn, Broadcasts, ControlIn uint64
+	mu   sync.Mutex
+	core *switchcore.Core  // guarded by mu
+	drv  switchcore.Driver // guarded by mu (udpDriver keeps scratch)
 }
 
 // switchRecvBuf asks the kernel for a deep socket receive queue: a full
@@ -90,16 +110,20 @@ func ListenSwitch(addr string) (*Switch, error) {
 	// Best-effort: the OS clamps to its rmem limit; the clamped value
 	// still beats the default.
 	_ = conn.SetReadBuffer(switchRecvBuf)
-	cfg := accel.DefaultConfig()
-	acc := accel.New(cfg)
+	// self only has to match the Dst that handle stamps on every
+	// datagram, so an IPv6 bind, which has no IPv4 form, may leave it zero.
+	self, _ := toAddr(conn.LocalAddr().(*net.UDPAddr).AddrPort())
+	s := newSwitch(self, &udpDriver{conn: conn})
+	s.conn = conn
+	return s, nil
+}
+
+// newSwitch builds the adapter around a fresh core emitting through drv.
+func newSwitch(self protocol.Addr, drv switchcore.Driver) *Switch {
+	core := switchcore.New(self, drv)
 	// UDP workers retransmit on loss; dedup keeps that idempotent.
-	acc.SetDedup(true)
-	return &Switch{
-		conn:    conn,
-		acc:     acc,
-		members: make(map[string]*net.UDPAddr),
-		autoH:   true,
-	}, nil
+	core.SetDedup(true)
+	return &Switch{start: time.Now(), core: core, drv: drv}
 }
 
 // Addr returns the bound UDP address.
@@ -113,7 +137,7 @@ func (s *Switch) Close() error { return s.conn.Close() }
 func (s *Switch) Serve() error { return s.ServeN(1) }
 
 // ServeN drains the socket with workers reader goroutines sharing the
-// bound socket (ReadFromUDP is safe for concurrent use; the kernel hands
+// bound socket (reads are safe for concurrent use; the kernel hands
 // each datagram to exactly one reader). Extra readers keep the socket
 // queue short while a handler holds the switch mutex for an aggregation.
 // Blocks until the socket closes, then returns nil.
@@ -137,148 +161,75 @@ func (s *Switch) ServeN(workers int) error {
 }
 
 func (s *Switch) serveLoop(buf []byte) {
+	pkt := new(protocol.Packet) // decode scratch: the core keeps nothing of it
 	for {
-		n, peer, err := s.conn.ReadFromUDP(buf)
+		n, peer, err := s.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
 				continue
 			}
 			return // closed
 		}
-		// Decode copies Value/Data out of the datagram, so buf can be
-		// reused for the next read without a defensive copy.
-		pkt, err := Decode(udpToAddr(peer), protocol.Addr{}, buf[:n])
-		if err != nil {
-			continue
-		}
-		switch {
-		case pkt.IsControl():
-			s.handleControl(pkt, peer)
-		case pkt.IsData():
-			s.handleData(pkt, peer)
-		}
+		s.handle(pkt, peer, buf[:n])
 	}
 }
 
-func (s *Switch) handleControl(pkt *protocol.Packet, peer *net.UDPAddr) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ControlIn++
-	switch pkt.Action {
-	case protocol.ActionJoin:
-		if _, err := protocol.ParseJoin(pkt.Value); err != nil {
-			s.ackLocked(peer, false)
-			return
-		}
-		key := peer.String()
-		if _, ok := s.members[key]; !ok {
-			s.members[key] = peer
-			s.order = append(s.order, key)
-		}
-		if s.autoH {
-			_ = s.acc.SetThreshold(uint32(len(s.members)))
-		}
-		s.ackLocked(peer, true)
-	case protocol.ActionLeave:
-		key := peer.String()
-		if _, ok := s.members[key]; ok {
-			delete(s.members, key)
-			for i, k := range s.order {
-				if k == key {
-					s.order = append(s.order[:i], s.order[i+1:]...)
-					break
-				}
-			}
-			if s.autoH && len(s.members) > 0 {
-				_ = s.acc.SetThreshold(uint32(len(s.members)))
-			}
-			s.ackLocked(peer, true)
-			return
-		}
-		s.ackLocked(peer, false)
-	case protocol.ActionReset:
-		s.acc.Reset()
-		s.ackLocked(peer, true)
-	case protocol.ActionSetH:
-		h, err := protocol.ParseSetH(pkt.Value)
-		if err != nil || s.acc.SetThreshold(h) != nil {
-			s.ackLocked(peer, false)
-			return
-		}
-		s.autoH = false
-		s.ackLocked(peer, true)
-	case protocol.ActionFBcast:
-		for _, seg := range s.acc.PendingSegs() {
-			if sum, _, ok := s.acc.Flush(seg); ok {
-				s.broadcastLocked(seg, sum)
-				s.acc.Recycle(sum)
-			}
-		}
-		s.ackLocked(peer, true)
-	case protocol.ActionHelp:
-		// Relay to every other member; they retransmit their segment.
-		for _, key := range s.order {
-			if key == peer.String() {
-				continue
-			}
-			out := &protocol.Packet{ToS: protocol.ToSControl,
-				Action: protocol.ActionHelp, Value: pkt.Value}
-			s.sendLocked(s.members[key], out)
-		}
-	case protocol.ActionHalt:
-		for _, key := range s.order {
-			out := &protocol.Packet{ToS: protocol.ToSControl, Action: protocol.ActionHalt}
-			s.sendLocked(s.members[key], out)
-		}
-	default:
-		s.ackLocked(peer, false)
-	}
-}
-
-func (s *Switch) handleData(pkt *protocol.Packet, peer *net.UDPAddr) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.DataIn++
-	sum, done, _ := s.acc.IngestFrom(pkt.Seg, peer.String(), pkt.Data)
-	if done {
-		s.broadcastLocked(pkt.Seg, sum)
-		// The broadcast serialized sum onto the wire; hand the buffer
-		// back to the accelerator's pool.
-		s.acc.Recycle(sum)
-	}
-}
-
-func (s *Switch) broadcastLocked(seg uint64, sum []float32) {
-	s.Broadcasts++
-	out := &protocol.Packet{ToS: protocol.ToSData, Seg: seg, Data: sum}
-	for _, key := range s.order {
-		s.sendLocked(s.members[key], out)
-	}
-}
-
-func (s *Switch) ackLocked(peer *net.UDPAddr, ok bool) {
-	v := protocol.AckOK
+// handle decodes one datagram from peer into pkt and runs it through the
+// switch core. Datagrams that do not decode, or come from a peer the
+// protocol cannot address, are dropped.
+func (s *Switch) handle(pkt *protocol.Packet, peer netip.AddrPort, datagram []byte) {
+	src, ok := toAddr(peer)
 	if !ok {
-		v = protocol.AckFail
+		return
 	}
-	s.sendLocked(peer, &protocol.Packet{ToS: protocol.ToSControl,
-		Action: protocol.ActionAck, Value: v})
+	if decodeInto(pkt, src, s.core.Addr(), datagram) != nil {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if pkt.IsControl() && pkt.Action == protocol.ActionJoin &&
+		len(pkt.Value) == 9 && protocol.Compression(pkt.Value[8]) != protocol.CompNone {
+		// The UDP framing carries raw float32 only: a Join negotiating
+		// another scheme would switch the job to frames this daemon can
+		// neither decode nor encode.
+		s.core.ControlIn++
+		s.drv.Send(protocol.NewControl(s.core.Addr(), src, protocol.ActionAck, protocol.AckFail))
+		return
+	}
+	s.core.Handle(time.Since(s.start), pkt, false)
 }
 
-func (s *Switch) sendLocked(peer *net.UDPAddr, pkt *protocol.Packet) {
-	buf, err := appendEncoded(s.encBuf[:0], pkt)
+// udpDriver writes the core's emissions to the socket.
+type udpDriver struct {
+	conn   *net.UDPConn
+	encBuf []byte // encode scratch, guarded by Switch.mu
+}
+
+// Send encodes pkt and writes it to pkt.Dst.
+func (d *udpDriver) Send(pkt *protocol.Packet) {
+	dst := pkt.Dst
+	buf, err := appendEncoded(d.encBuf[:0], pkt)
+	pkt.Release()
 	if err != nil {
 		return
 	}
-	s.encBuf = buf[:0]
-	_, _ = s.conn.WriteToUDP(buf, peer)
+	d.encBuf = buf[:0]
+	_, _ = d.conn.WriteToUDPAddrPort(buf, netip.AddrPortFrom(netip.AddrFrom4(dst.IP), dst.Port))
 }
+
+// SendParent drops pkt: the UDP switch is always the root.
+func (d *udpDriver) SendParent(pkt *protocol.Packet) { pkt.Release() }
+
+// After runs fn at once: the software aggregator models no datapath
+// latency.
+func (d *udpDriver) After(_ time.Duration, fn func()) { fn() }
 
 // Members reports the current membership size.
 func (s *Switch) Members() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.members)
+	return s.core.Membership().Count()
 }
 
 // Counters returns a consistent snapshot of the activity counters
@@ -286,18 +237,26 @@ func (s *Switch) Members() int {
 func (s *Switch) Counters() (dataIn, broadcasts, controlIn uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.DataIn, s.Broadcasts, s.ControlIn
+	return s.core.DataIn, s.core.Broadcasts, s.core.ControlIn
 }
 
 // Client is a worker-side handle: it joins a switch and aggregates
 // gradient vectors through it. A Client is single-goroutine: send and
 // recv share scratch buffers.
+//
+// Every Aggregate call is one round, and its contributions carry the
+// round's tag in the upper bits of Seg (protocol.TagSeg), so the switch
+// keeps rounds apart and re-serves a lost broadcast from its shadow
+// slot instead of asking peers to resend. Clients of one job must
+// therefore call Aggregate in lockstep from their first round on.
 type Client struct {
 	conn    *net.UDPConn
 	n       int
+	round   uint64
 	asm     *protocol.Assembler
 	encBuf  []byte
 	recvBuf []byte
+	rx      protocol.Packet // recv's decode scratch
 	// Timeout bounds each receive while collecting an aggregate.
 	Timeout time.Duration
 }
@@ -332,63 +291,75 @@ func (c *Client) send(pkt *protocol.Packet) error {
 	return err
 }
 
-// recv reads one packet with the client timeout.
+// recv reads the next decodable packet within the client timeout,
+// skipping datagrams that do not decode. The packet is valid until the
+// next recv.
 func (c *Client) recv() (*protocol.Packet, error) {
 	if err := c.conn.SetReadDeadline(time.Now().Add(c.Timeout)); err != nil {
 		return nil, err
 	}
-	n, err := c.conn.Read(c.recvBuf)
-	if err != nil {
-		return nil, err
+	for {
+		n, err := c.conn.Read(c.recvBuf)
+		if err != nil {
+			return nil, err
+		}
+		if decodeInto(&c.rx, protocol.Addr{}, protocol.Addr{}, c.recvBuf[:n]) == nil {
+			return &c.rx, nil
+		}
 	}
-	return Decode(protocol.Addr{}, protocol.Addr{}, c.recvBuf[:n])
 }
 
-// Join registers with the switch and waits for the Ack.
-func (c *Client) Join() error {
-	if err := c.send(&protocol.Packet{ToS: protocol.ToSControl,
-		Action: protocol.ActionJoin, Value: protocol.JoinValue(uint64(c.n))}); err != nil {
+// control sends a control action and waits for its Ack, skipping any
+// other packet that arrives first.
+func (c *Client) control(action protocol.Action, value []byte) error {
+	if err := c.send(protocol.NewControl(protocol.Addr{}, protocol.Addr{}, action, value)); err != nil {
 		return err
 	}
 	for {
 		pkt, err := c.recv()
 		if err != nil {
-			return fmt.Errorf("transport: join: %w", err)
+			return fmt.Errorf("transport: %v: %w", action, err)
 		}
 		if pkt.IsControl() && pkt.Action == protocol.ActionAck {
 			if len(pkt.Value) != 1 || pkt.Value[0] != 1 {
-				return fmt.Errorf("transport: join rejected")
+				return fmt.Errorf("transport: %v rejected", action)
 			}
 			return nil
 		}
 	}
 }
 
+// Join registers with the switch and waits for the Ack.
+func (c *Client) Join() error {
+	return c.control(protocol.ActionJoin, protocol.JoinValue(uint64(c.n)))
+}
+
 // SetH issues a SetH control action and waits for the Ack.
 func (c *Client) SetH(h uint32) error {
-	if err := c.send(&protocol.Packet{ToS: protocol.ToSControl,
-		Action: protocol.ActionSetH, Value: protocol.SetHValue(h)}); err != nil {
-		return err
-	}
-	pkt, err := c.recv()
-	if err != nil {
-		return err
-	}
-	if !pkt.IsControl() || pkt.Action != protocol.ActionAck || pkt.Value[0] != 1 {
-		return fmt.Errorf("transport: SetH rejected")
-	}
-	return nil
+	return c.control(protocol.ActionSetH, protocol.SetHValue(h))
+}
+
+// contribute sends this worker's share of one (round-tagged) segment.
+func (c *Client) contribute(grad []float32, tagged uint64) error {
+	lo, hi := protocol.SegmentRange(c.n, protocol.SegIndex(tagged))
+	return c.send(&protocol.Packet{ToS: protocol.ToSData, Seg: tagged, Data: grad[lo:hi]})
 }
 
 // Aggregate contributes grad and blocks until the aggregated sum
-// arrives. Lost broadcasts trigger one Help-based retransmission round
-// before failing.
+// arrives. A receive timeout sends a Help for every missing segment:
+// the switch re-serves emitted segments from its shadow slots and asks
+// the missing contributors, this worker included, to resend the rest.
+// Aggregate fails when a timeout passes with no progress since the last
+// Help. Data and Helps of any other round are ignored.
 func (c *Client) Aggregate(grad []float32) ([]float32, error) {
 	if len(grad) != c.n {
 		return nil, fmt.Errorf("transport: gradient len %d, want %d", len(grad), c.n)
 	}
-	for _, pkt := range protocol.Segment(protocol.Addr{}, protocol.Addr{}, grad) {
-		if err := c.send(pkt); err != nil {
+	c.round++
+	tag := protocol.RoundTag(c.round)
+	segs := uint64(protocol.SegmentCount(c.n))
+	for seg := uint64(0); seg < segs; seg++ {
+		if err := c.contribute(grad, tag|seg); err != nil {
 			return nil, err
 		}
 	}
@@ -397,17 +368,12 @@ func (c *Client) Aggregate(grad []float32) ([]float32, error) {
 	for !c.asm.Complete() {
 		pkt, err := c.recv()
 		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() && !helped {
-				// Request recovery: peers (and we) retransmit the
-				// missing segments' contributions.
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() && !helped {
 				helped = true
 				for _, seg := range c.asm.Missing() {
-					if err := c.send(&protocol.Packet{ToS: protocol.ToSControl,
-						Action: protocol.ActionHelp, Value: protocol.HelpValue(seg)}); err != nil {
-						return nil, err
-					}
-					lo, hi := protocol.SegmentRange(c.n, seg)
-					if err := c.send(protocol.NewData(protocol.Addr{}, protocol.Addr{}, seg, grad[lo:hi])); err != nil {
+					if err := c.send(protocol.NewControl(protocol.Addr{}, protocol.Addr{},
+						protocol.ActionHelp, protocol.HelpValue(tag|seg))); err != nil {
 						return nil, err
 					}
 				}
@@ -417,16 +383,21 @@ func (c *Client) Aggregate(grad []float32) ([]float32, error) {
 		}
 		switch {
 		case pkt.IsData():
-			if err := c.asm.Add(pkt); err != nil {
-				continue
+			if protocol.SegRound(pkt.Seg) != protocol.SegRound(tag) {
+				continue // a stale re-serve or another round's broadcast
+			}
+			pkt.Seg = protocol.SegIndex(pkt.Seg)
+			missing := c.asm.Remaining()
+			if c.asm.Add(pkt) == nil && c.asm.Remaining() < missing {
+				helped = false // progress: a further stall may Help again
 			}
 		case pkt.IsControl() && pkt.Action == protocol.ActionHelp:
 			seg, err := protocol.ParseHelp(pkt.Value)
-			if err != nil || seg >= uint64(protocol.SegmentCount(c.n)) {
+			if err != nil || protocol.SegRound(seg) != protocol.SegRound(tag) ||
+				protocol.SegIndex(seg) >= segs {
 				continue
 			}
-			lo, hi := protocol.SegmentRange(c.n, seg)
-			if err := c.send(protocol.NewData(protocol.Addr{}, protocol.Addr{}, seg, grad[lo:hi])); err != nil {
+			if err := c.contribute(grad, seg); err != nil {
 				return nil, err
 			}
 		}
